@@ -131,7 +131,7 @@ impl<E: Endpoint> CachingEndpoint<E> {
             | Request::PreparedSelectPaged { .. } => 'S',
             Request::Ask { .. } | Request::PreparedAsk { .. } => 'A',
             Request::Count { .. } => 'C',
-            // sofya: allow(panic_path) — execute() decomposes batches before keying; a Batch here is a caller bug in this crate
+            // sofya: allow(panic_path) — execute_with_budget() decomposes batches before keying; a Batch here is a caller bug in this crate
             Request::Batch(_) => unreachable!("batches are decomposed before keying"),
         };
         Ok(format!("{shape}\u{1}{}", req.to_sparql()?))
@@ -139,33 +139,9 @@ impl<E: Endpoint> CachingEndpoint<E> {
 }
 
 impl<E: Endpoint> Endpoint for CachingEndpoint<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        if let Request::Batch(requests) = req {
-            return Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| self.execute(sub))
-                    .collect::<Result<_, _>>()?,
-            ));
-        }
-        let key = Self::key(&req)?;
-        if let Some(hit) = self.lookup(&key) {
-            return Ok(hit);
-        }
-        let response = self.inner.execute(req)?;
-        self.cache
-            .lock()
-            .insert(key, (response.clone(), self.now()));
-        Ok(response)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    /// A cache hit answers without touching the inner endpoint (and so
-    /// without spending any of the budget); a miss forwards the budget
-    /// inward. Errors — including budget breaches — are never cached, so
+    /// A batch is decomposed and each member cached on its own. A cache
+    /// hit answers without touching the inner endpoint (and so without
+    /// spending any of the budget); a miss forwards the budget inward. Errors — including budget breaches — are never cached, so
     /// a killed query does not poison the entry for the next caller.
     fn execute_with_budget(
         &self,
@@ -189,6 +165,10 @@ impl<E: Endpoint> Endpoint for CachingEndpoint<E> {
             .lock()
             .insert(key, (response.clone(), self.now()));
         Ok(response)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

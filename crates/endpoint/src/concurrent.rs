@@ -26,14 +26,11 @@ use crate::delta::{DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
 use crate::local::DEFAULT_PLAN_CACHE_CAPACITY;
+use crate::outcome::execute_on_store;
 use crate::plan_cache::ShardedPlanCache;
 use parking_lot::Mutex;
-use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, Term, TripleStore};
-use sofya_sparql::{
-    compile_with_options, execute_ast_budgeted, execute_ast_with_options, execute_compiled,
-    execute_compiled_paged, execute_compiled_paged_budgeted, CompiledQuery, PlanOptions, Prepared,
-    QueryBudget,
-};
+use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TripleStore};
+use sofya_sparql::{PlanOptions, QueryBudget};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -325,186 +322,46 @@ impl ConcurrentEndpoint {
     }
 }
 
-/// Answers every snapshot-level request; shared by the per-query-fresh
+/// Executes one typed request against one published snapshot through
+/// the shared in-process executor, with the sharded plan cache stamped
+/// at the snapshot's version (entries from older versions are misses:
+/// their constant ids may be stale). Shared by the per-query-fresh
 /// [`ConcurrentEndpoint`] and the transactionally-consistent
-/// [`PinnedEndpoint`].
-mod on_snapshot {
-    use super::*;
-    use crate::outcome::{execute_count, execute_count_budgeted, response_of};
-
-    /// Compile-or-cache a query string against `snap`. Entries from older
-    /// snapshot versions are misses (their constant ids may be stale).
-    fn compiled(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        query: &str,
-    ) -> Result<Arc<CompiledQuery>, EndpointError> {
-        let version = snap.version();
-        if let Some(hit) = plans.get(query, version) {
-            return Ok(hit);
-        }
-        let compiled = Arc::new(compile_with_options(
-            snap.snapshot().store(),
-            query,
-            snap.plan_options(),
-        )?);
-        plans.insert(query, version, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
-    /// Compile-or-cache the bound form of a paged template, keyed by
-    /// `(template token, args)` + snapshot version (pagination is applied
-    /// at execution time, so all pages share one compilation).
-    fn compiled_prepared_paged(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        prepared: &Prepared,
-        args: &[Term],
-    ) -> Result<Arc<CompiledQuery>, EndpointError> {
-        let version = snap.version();
-        Ok(crate::plan_cache::compile_bound_paged(
-            snap.snapshot().store(),
-            snap.plan_options(),
-            prepared,
-            args,
-            |key| plans.get(key, version),
-            |key, plan| plans.insert(&key, version, plan),
-        )?)
-    }
-
-    /// Executes one typed request against one published snapshot. A
-    /// batch recurses with the **same** snapshot, so its sub-requests
-    /// observe one consistent state no matter how many publishes land
-    /// while it runs.
-    pub(super) fn execute(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        req: Request<'_>,
-    ) -> Result<Response, EndpointError> {
-        match req {
-            Request::Select { query } | Request::Ask { query } => {
-                let compiled = compiled(plans, snap, query)?;
-                Ok(response_of(execute_compiled(
-                    snap.snapshot().store(),
-                    &compiled,
-                )?))
-            }
-            Request::PreparedSelect { prepared, args }
-            | Request::PreparedAsk { prepared, args } => Ok(response_of(execute_ast_with_options(
-                snap.snapshot().store(),
-                &prepared.bind(args)?,
-                snap.plan_options(),
-            )?)),
-            Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => {
-                let compiled = compiled_prepared_paged(plans, snap, prepared, args)?;
-                Ok(response_of(execute_compiled_paged(
-                    snap.snapshot().store(),
-                    &compiled,
-                    limit,
-                    offset,
-                )?))
-            }
-            Request::Count { prepared, args } => {
-                execute_count(snap.snapshot().store(), prepared, args, snap.plan_options())
-                    .map(Response::Count)
-            }
-            Request::Batch(requests) => Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| execute(plans, snap, sub))
-                    .collect::<Result<_, _>>()?,
-            )),
-        }
-    }
-
-    /// [`execute`] under a [`QueryBudget`]: same snapshot discipline,
-    /// but the budget is threaded into the evaluator's scan loops. A
-    /// killed query drops its snapshot `Arc` like any other — no state
-    /// to roll back, and cached plans stay valid for the next caller.
-    pub(super) fn execute_budgeted(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        match req {
-            Request::Select { query } | Request::Ask { query } => {
-                let compiled = compiled(plans, snap, query)?;
-                Ok(response_of(execute_compiled_paged_budgeted(
-                    snap.snapshot().store(),
-                    &compiled,
-                    None,
-                    None,
-                    budget,
-                )?))
-            }
-            Request::PreparedSelect { prepared, args }
-            | Request::PreparedAsk { prepared, args } => Ok(response_of(execute_ast_budgeted(
-                snap.snapshot().store(),
-                &prepared.bind(args)?,
-                snap.plan_options(),
-                budget,
-            )?)),
-            Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => {
-                let compiled = compiled_prepared_paged(plans, snap, prepared, args)?;
-                Ok(response_of(execute_compiled_paged_budgeted(
-                    snap.snapshot().store(),
-                    &compiled,
-                    limit,
-                    offset,
-                    budget,
-                )?))
-            }
-            Request::Count { prepared, args } => execute_count_budgeted(
-                snap.snapshot().store(),
-                prepared,
-                args,
-                snap.plan_options(),
-                budget,
-            )
-            .map(Response::Count),
-            // Sub-requests share the one (absolute-deadline) budget.
-            Request::Batch(requests) => Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| execute_budgeted(plans, snap, sub, budget))
-                    .collect::<Result<_, _>>()?,
-            )),
-        }
-    }
+/// [`PinnedEndpoint`]. A batch recurses with the **same** snapshot, so
+/// its sub-requests observe one consistent state no matter how many
+/// publishes land while it runs; a killed query drops its snapshot `Arc`
+/// like any other — no state to roll back.
+fn execute_on_snapshot(
+    plans: &ShardedPlanCache,
+    snap: &PublishedSnapshot,
+    req: Request<'_>,
+    budget: &QueryBudget,
+) -> Result<Response, EndpointError> {
+    let version = snap.version();
+    execute_on_store(
+        snap.snapshot().store(),
+        snap.plan_options(),
+        &|key| plans.get(key, version),
+        &|key, plan| plans.insert(key, version, plan),
+        req,
+        budget,
+    )
 }
 
 impl Endpoint for ConcurrentEndpoint {
     /// Resolves the published snapshot **once** per request — a batch
     /// therefore runs entirely against the snapshot current at its
     /// start, paying a single epoch-cell load for all its sub-requests.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        on_snapshot::execute(&self.plans, &self.cell.load(), req)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        if budget.is_unlimited() {
-            return self.execute(req);
-        }
-        on_snapshot::execute_budgeted(&self.plans, &self.cell.load(), req, budget)
+        execute_on_snapshot(&self.plans, &self.cell.load(), req, budget)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -538,23 +395,16 @@ impl PinnedEndpoint {
 }
 
 impl Endpoint for PinnedEndpoint {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        on_snapshot::execute(&self.plans, &self.snap, req)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        if budget.is_unlimited() {
-            return self.execute(req);
-        }
-        on_snapshot::execute_budgeted(&self.plans, &self.snap, req, budget)
+        execute_on_snapshot(&self.plans, &self.snap, req, budget)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -585,7 +435,8 @@ mod tests {
     use super::*;
     use crate::endpoint::EndpointExt;
     use crate::local::LocalEndpoint;
-    use sofya_rdf::TriplePattern;
+    use sofya_rdf::{Term, TriplePattern};
+    use sofya_sparql::Prepared;
 
     fn seeded() -> SnapshotStore {
         let mut store = TripleStore::new();

@@ -137,21 +137,11 @@ impl<E: Endpoint> DeadlineEndpoint<E> {
 }
 
 impl<E: Endpoint> Endpoint for DeadlineEndpoint<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        let budget = self
-            .config
-            .budget_starting_now()
-            .with_cancel(Arc::clone(&self.cancel));
-        self.run(req, budget)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     /// A caller-supplied budget merges with the configured one: the
     /// tighter deadline and caps win, and this endpoint's cancel token
     /// is attached (outermost token wins, see [`QueryBudget::merge`]).
+    /// An unbudgeted `execute` therefore runs under the configured
+    /// budget alone.
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -162,6 +152,10 @@ impl<E: Endpoint> Endpoint for DeadlineEndpoint<E> {
             .budget_starting_now()
             .with_cancel(Arc::clone(&self.cancel));
         self.run(req, own.merge(budget))
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

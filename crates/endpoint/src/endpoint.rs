@@ -1,12 +1,13 @@
 //! The endpoint trait: one typed request/response pipeline.
 //!
-//! Every KB access in SOFYA is a [`Request`] handed to
-//! [`Endpoint::execute`], which answers with the matching [`Response`]
-//! shape. Wrappers (caching, quota, retry, instrumentation, latency, …)
-//! therefore intercept **every** query kind — string, prepared, paged,
-//! count, batch, and ones added later — by overriding a single method,
-//! instead of forwarding five parallel entry points and silently missing
-//! one (the bug class that regressed the first paged fast path).
+//! Every KB access in SOFYA is a [`Request`] handed, with its
+//! [`QueryBudget`], to [`Endpoint::execute_with_budget`], which answers
+//! with the matching [`Response`] shape. Wrappers (caching, quota, retry,
+//! instrumentation, latency, …) therefore intercept **every** query kind
+//! — string, prepared, paged, count, batch, and ones added later — and
+//! every caller's deadline by implementing a single method, instead of
+//! forwarding parallel entry points and silently missing one (the bug
+//! class that regressed the first paged fast path).
 //!
 //! Callers never build requests by hand: [`EndpointExt`] provides the
 //! ergonomic methods ([`EndpointExt::select`], [`EndpointExt::ask`],
@@ -19,8 +20,8 @@ use sofya_sparql::{unparse, Prepared, Query, QueryBudget, ResultSet, SparqlError
 use std::sync::Arc;
 
 /// One typed endpoint request. Borrowed: a request is built on the stack
-/// of the issuing call and consumed by [`Endpoint::execute`]; use
-/// [`RequestBuf`] when a request must own its parts (queues, schedulers).
+/// of the issuing call and consumed by [`Endpoint::execute_with_budget`];
+/// use [`RequestBuf`] when a request must own its parts.
 ///
 /// ```
 /// use sofya_endpoint::{Endpoint, EndpointExt, LocalEndpoint, Request, Response};
@@ -30,7 +31,8 @@ use std::sync::Arc;
 /// store.insert_terms(&Term::iri("e:a"), &Term::iri("r:p"), &Term::iri("e:b"));
 /// let ep = LocalEndpoint::new("kb", store);
 ///
-/// // The typed pipeline: one method, one request enum.
+/// // The typed pipeline: one request enum; `execute` is the unbudgeted
+/// // form of the one required method, `execute_with_budget`.
 /// let resp = ep.execute(Request::Ask { query: "ASK { <e:a> <r:p> <e:b> }" }).unwrap();
 /// assert_eq!(resp, Response::Boolean(true));
 ///
@@ -169,8 +171,8 @@ pub(crate) fn count_of_ask_error() -> EndpointError {
 
 /// An owning [`Request`]: the same variants with owned strings,
 /// `Arc`-shared templates, and owned argument vectors, so a request can
-/// outlive the frame that built it (queued batches, scheduler jobs —
-/// see `sofya-service`'s query service). Borrow it back with
+/// outlive the frame that built it (a request decoded off the wire and
+/// queued as a server job — see `sofya-net`). Borrow it back with
 /// [`RequestBuf::as_request`] at execution time.
 #[derive(Debug, Clone)]
 pub enum RequestBuf {
@@ -243,14 +245,6 @@ impl RequestBuf {
             },
             RequestBuf::Count { prepared, args } => Request::Count { prepared, args },
             RequestBuf::Batch(reqs) => Request::Batch(reqs.iter().map(Self::as_request).collect()),
-        }
-    }
-
-    /// Number of leaf (non-batch) requests (see [`Request::leaf_count`]).
-    pub fn leaf_count(&self) -> u64 {
-        match self {
-            RequestBuf::Batch(reqs) => reqs.iter().map(Self::leaf_count).sum(),
-            _ => 1,
         }
     }
 }
@@ -345,32 +339,23 @@ impl Response {
 /// Implementations must be shareable across threads — the evaluation
 /// harness aligns many relations in parallel against the same endpoints.
 ///
-/// `execute` is the **single required method**: every query shape
-/// arrives as a typed [`Request`] and leaves as the matching
-/// [`Response`]. Wrappers therefore compose as middleware — each
-/// intercepts one `execute`, and a query shape added to the enum later
-/// is covered by every existing wrapper by construction. Algorithms call
-/// the ergonomic [`EndpointExt`] methods instead of building requests.
+/// [`Endpoint::execute_with_budget`] is the **single required method**:
+/// every query shape arrives as a typed [`Request`] with the caller's
+/// [`QueryBudget`] and leaves as the matching [`Response`]. Wrappers
+/// therefore compose as middleware — each intercepts one method and
+/// hands the budget inward, so a query shape added to the enum later,
+/// and the deadline and scan caps of every caller, reach the backend
+/// through every existing wrapper by construction. [`Endpoint::execute`]
+/// is the unbudgeted convenience. Algorithms call the ergonomic
+/// [`EndpointExt`] methods instead of building requests.
 pub trait Endpoint: Send + Sync {
-    /// Executes one typed request.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError>;
-
-    /// A short display name (e.g. `"yago"`, `"dbpedia"`), used in
-    /// reports. Wrappers forward their inner endpoint's name; the
-    /// default is a placeholder for anonymous test endpoints.
-    fn name(&self) -> &str {
-        "endpoint"
-    }
-
     /// Executes one typed request under a [`QueryBudget`].
     ///
-    /// The default refuses already-expired or cancelled work up front,
-    /// then runs `execute` to completion — correct (the budget is a cap,
-    /// not a guarantee of partial progress) but not *cooperative*.
-    /// Backends that own an evaluator override this to thread the budget
-    /// into scanning so a breached query unwinds in bounded time;
-    /// wrappers override it to delegate inward so the budget survives
-    /// the whole middleware stack.
+    /// Backends that own an evaluator thread the budget into scanning so
+    /// a breached query unwinds in bounded time; wrappers delegate inward
+    /// with the same (or a tightened) budget so it survives the whole
+    /// middleware stack. [`QueryBudget::unlimited`] runs the request to
+    /// completion.
     ///
     /// Budget breaches surface as [`sofya_sparql::SparqlError::Budget`]
     /// wrapped in [`EndpointError::Sparql`]; the deadline middleware
@@ -381,9 +366,21 @@ pub trait Endpoint: Send + Sync {
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        budget.check_expired()?;
-        self.execute(req)
+    ) -> Result<Response, EndpointError>;
+
+    /// A short display name (e.g. `"yago"`, `"dbpedia"`), used in
+    /// reports. Wrappers forward their inner endpoint's name; the
+    /// default is a placeholder for anonymous test endpoints.
+    fn name(&self) -> &str {
+        "endpoint"
+    }
+
+    /// Executes one typed request with no caller budget:
+    /// [`Endpoint::execute_with_budget`] under [`QueryBudget::unlimited`].
+    /// Wrappers that impose their own limits (such as
+    /// [`crate::DeadlineEndpoint`]) still apply them.
+    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        self.execute_with_budget(req, &QueryBudget::unlimited())
     }
 }
 
@@ -456,22 +453,24 @@ pub trait EndpointExt: Endpoint {
 impl<E: Endpoint + ?Sized> EndpointExt for E {}
 
 /// Blanket implementation so `Arc<E>` is itself an endpoint; wrappers and
-/// algorithms can hold `Arc<dyn Endpoint>` and compose freely.
+/// algorithms can hold `Arc<dyn Endpoint>` and compose freely. Both
+/// methods forward, so an `E` that overrides the provided `execute`
+/// keeps that override behind the `Arc`.
 impl<E: Endpoint + ?Sized> Endpoint for Arc<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        (**self).execute(req)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         (**self).execute_with_budget(req, budget)
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        (**self).execute(req)
     }
 }
 
@@ -482,7 +481,11 @@ mod tests {
     struct Fake;
 
     impl Endpoint for Fake {
-        fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        fn execute_with_budget(
+            &self,
+            req: Request<'_>,
+            _budget: &QueryBudget,
+        ) -> Result<Response, EndpointError> {
             Ok(match req {
                 Request::Select { .. }
                 | Request::PreparedSelect { .. }
@@ -576,7 +579,6 @@ mod tests {
                 args: vec![Term::iri("a")],
             },
         ]);
-        assert_eq!(buf.leaf_count(), 2);
         let req = buf.as_request();
         assert_eq!(req.kind(), "batch");
         assert_eq!(req.leaf_count(), 2);

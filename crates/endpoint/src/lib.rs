@@ -9,16 +9,20 @@
 //! that contract:
 //!
 //! * [`Endpoint`] — the trait every KB access goes through. One required
-//!   method: `execute(Request) -> Response`, a **typed request/response
-//!   pipeline**. The [`Request`] enum covers every query shape (string
-//!   `SELECT`/`ASK`, prepared, paged-prepared, `COUNT`, and `Batch`);
-//!   wrappers intercept all of them by overriding that single method, so
-//!   no query shape can bypass a middleware layer. Algorithms call the
-//!   ergonomic [`EndpointExt`] methods, which build the request and
-//!   destructure the [`Response`].
+//!   method: `execute_with_budget(Request, &QueryBudget) -> Response`, a
+//!   **typed request/response pipeline**; `execute(Request)` is the same
+//!   call under [`sofya_sparql::QueryBudget::unlimited`]. The [`Request`]
+//!   enum covers every query shape (string `SELECT`/`ASK`, prepared,
+//!   paged-prepared, `COUNT`, and `Batch`); wrappers intercept all of
+//!   them, and receive every caller's budget, by implementing that single
+//!   method, so no query shape and no deadline can bypass a middleware
+//!   layer. Algorithms call the ergonomic [`EndpointExt`] methods, which
+//!   build the request and destructure the [`Response`].
 //! * [`LocalEndpoint`] — an endpoint backed by an in-process
 //!   [`sofya_rdf::TripleStore`] evaluated by `sofya-sparql`; plays the role
-//!   of the remote server in this reproduction.
+//!   of the remote server in this reproduction. It shares one executor
+//!   with [`ConcurrentEndpoint`] and [`PinnedEndpoint`]; the backends
+//!   differ only in their plan caches.
 //! * [`InstrumentedEndpoint`] — counts queries and transferred rows/cells,
 //!   so experiments can report the paper's "works with few queries" claim
 //!   quantitatively (experiment S3 in DESIGN.md).

@@ -2,15 +2,11 @@
 
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
-use crate::outcome::{execute_count, execute_count_budgeted, response_of};
+use crate::outcome::execute_on_store;
 use crate::plan_cache::LruPlanCache;
 use parking_lot::Mutex;
-use sofya_rdf::{StoreStats, Term, TripleStore};
-use sofya_sparql::{
-    compile_with_options, execute_ast_budgeted, execute_ast_with_options, execute_compiled,
-    execute_compiled_paged, execute_compiled_paged_budgeted, CompiledQuery, PlanOptions, Prepared,
-    QueryBudget,
-};
+use sofya_rdf::{StoreStats, TripleStore};
+use sofya_sparql::{PlanOptions, QueryBudget};
 use std::sync::{Arc, OnceLock};
 
 /// Default bound on the per-endpoint plan cache. The aligner issues a few
@@ -87,163 +83,29 @@ impl LocalEndpoint {
             ..PlanOptions::default()
         }
     }
-
-    /// The compiled form of `query`: cache hit, or parse + plan + insert.
-    /// The wrapped store is immutable, so entries are stamped version 0.
-    fn compiled(&self, query: &str) -> Result<Arc<CompiledQuery>, EndpointError> {
-        if let Some(hit) = self.plans.lock().get(query, 0) {
-            return Ok(hit);
-        }
-        let compiled = Arc::new(compile_with_options(
-            &self.store,
-            query,
-            self.plan_options(),
-        )?);
-        self.plans
-            .lock()
-            .insert(query.to_owned(), 0, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
-    /// The compiled form of a bound paged template, keyed by
-    /// `(template token, args)` — pagination is applied at execution
-    /// time, so all pages of a shape share one compilation. The wrapped
-    /// store is immutable, so entries are stamped version 0.
-    fn compiled_prepared_paged(
-        &self,
-        prepared: &Prepared,
-        args: &[Term],
-    ) -> Result<Arc<CompiledQuery>, EndpointError> {
-        Ok(crate::plan_cache::compile_bound_paged(
-            &self.store,
-            self.plan_options(),
-            prepared,
-            args,
-            |key| self.plans.lock().get(key, 0),
-            |key, plan| self.plans.lock().insert(key, 0, plan),
-        )?)
-    }
 }
 
 impl Endpoint for LocalEndpoint {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        match req {
-            // String queries go through the string-keyed plan cache.
-            Request::Select { query } | Request::Ask { query } => {
-                let compiled = self.compiled(query)?;
-                Ok(response_of(execute_compiled(&self.store, &compiled)?))
-            }
-            // Prepared probes bind + plan per call: their args vary per
-            // probe and their plans are trivial, so caching buys nothing.
-            Request::PreparedSelect { prepared, args }
-            | Request::PreparedAsk { prepared, args } => {
-                let bound = prepared.bind(args)?;
-                Ok(response_of(execute_ast_with_options(
-                    &self.store,
-                    &bound,
-                    self.plan_options(),
-                )?))
-            }
-            // Paged shapes are the expensive multi-pattern joins and
-            // their bound plan is page-independent, so it is compiled
-            // once per (template, args) and every page reuses it with an
-            // execution-time LIMIT/OFFSET override.
-            Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => {
-                let compiled = self.compiled_prepared_paged(prepared, args)?;
-                Ok(response_of(execute_compiled_paged(
-                    &self.store,
-                    &compiled,
-                    limit,
-                    offset,
-                )?))
-            }
-            // COUNT(*) over a bound pattern: single-pattern templates
-            // resolve off the index bounds without materializing a row.
-            Request::Count { prepared, args } => {
-                execute_count(&self.store, prepared, args, self.plan_options()).map(Response::Count)
-            }
-            Request::Batch(requests) => Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| self.execute(sub))
-                    .collect::<Result<_, _>>()?,
-            )),
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Cooperative budgeted execution: the budget is threaded into the
-    /// evaluator's scan loops, so a breached query unwinds within one
-    /// poll interval instead of running to completion. Plan caching is
-    /// unaffected — compilation is budget-independent, and a killed
-    /// query leaves its (valid) cached plan for the next caller.
+    /// Runs the shared in-process executor against the wrapped store,
+    /// with this endpoint's single LRU plan cache. The store is
+    /// immutable, so every entry is stamped version 0.
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        if budget.is_unlimited() {
-            return self.execute(req);
-        }
-        match req {
-            Request::Select { query } | Request::Ask { query } => {
-                let compiled = self.compiled(query)?;
-                Ok(response_of(execute_compiled_paged_budgeted(
-                    &self.store,
-                    &compiled,
-                    None,
-                    None,
-                    budget,
-                )?))
-            }
-            Request::PreparedSelect { prepared, args }
-            | Request::PreparedAsk { prepared, args } => {
-                let bound = prepared.bind(args)?;
-                Ok(response_of(execute_ast_budgeted(
-                    &self.store,
-                    &bound,
-                    self.plan_options(),
-                    budget,
-                )?))
-            }
-            Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => {
-                let compiled = self.compiled_prepared_paged(prepared, args)?;
-                Ok(response_of(execute_compiled_paged_budgeted(
-                    &self.store,
-                    &compiled,
-                    limit,
-                    offset,
-                    budget,
-                )?))
-            }
-            Request::Count { prepared, args } => {
-                execute_count_budgeted(&self.store, prepared, args, self.plan_options(), budget)
-                    .map(Response::Count)
-            }
-            // Sub-requests share the one budget: the deadline is absolute
-            // and the scan counter is per-sub-query, so a batch cannot
-            // outlive the deadline even though each member restarts its
-            // row count.
-            Request::Batch(requests) => Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| self.execute_with_budget(sub, budget))
-                    .collect::<Result<_, _>>()?,
-            )),
-        }
+        execute_on_store(
+            &self.store,
+            self.plan_options(),
+            &|key| self.plans.lock().get(key, 0),
+            &|key, plan| self.plans.lock().insert(key, 0, plan),
+            req,
+            budget,
+        )
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -262,6 +124,7 @@ mod tests {
     use super::*;
     use crate::endpoint::EndpointExt;
     use sofya_rdf::Term;
+    use sofya_sparql::Prepared;
 
     fn endpoint() -> LocalEndpoint {
         let mut store = TripleStore::new();

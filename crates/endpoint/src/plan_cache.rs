@@ -18,8 +18,8 @@
 //! always passes version 0.
 
 use sofya_rdf::dict::FnvHasher;
-use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::{compile_ast_with_options, CompiledQuery, PlanOptions, Prepared, SparqlError};
+use sofya_rdf::Term;
+use sofya_sparql::{CompiledQuery, Prepared, SparqlError};
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -27,24 +27,19 @@ use std::sync::Arc;
 /// The compile-or-cache step shared by [`crate::LocalEndpoint`] (single
 /// LRU behind one mutex, version 0) and [`crate::ConcurrentEndpoint`] /
 /// [`crate::concurrent::PinnedEndpoint`] (sharded, snapshot-versioned):
-/// key the bound template, consult the caller's cache, bind + plan on a
-/// miss, publish the compilation. Pagination is applied at execution
-/// time, so the key excludes `LIMIT`/`OFFSET`.
-pub(crate) fn compile_bound_paged(
-    store: &TripleStore,
-    opts: PlanOptions<'_>,
-    prepared: &Prepared,
-    args: &[Term],
+/// consult the caller's cache under `key`, compile on a miss, publish
+/// the compilation. Errors are never cached.
+pub(crate) fn cached_plan(
+    key: &str,
     lookup: impl FnOnce(&str) -> Option<Arc<CompiledQuery>>,
     publish: impl FnOnce(String, Arc<CompiledQuery>),
+    compile: impl FnOnce() -> Result<CompiledQuery, SparqlError>,
 ) -> Result<Arc<CompiledQuery>, SparqlError> {
-    let key = prepared_cache_key(prepared, args);
-    if let Some(hit) = lookup(&key) {
+    if let Some(hit) = lookup(key) {
         return Ok(hit);
     }
-    let bound = prepared.bind(args)?;
-    let compiled = Arc::new(compile_ast_with_options(store, &bound, opts));
-    publish(key, Arc::clone(&compiled));
+    let compiled = Arc::new(compile()?);
+    publish(key.to_owned(), Arc::clone(&compiled));
     Ok(compiled)
 }
 
@@ -55,11 +50,11 @@ pub(crate) fn compile_bound_paged(
 /// distinct argument lists collide). `LIMIT`/`OFFSET` are deliberately
 /// **not** part of the key — the join plan of a bound shape does not
 /// depend on pagination, so one compilation serves every page
-/// (see [`sofya_sparql::execute_compiled_paged`]).
+/// (see [`sofya_sparql::execute_compiled_paged_budgeted`]).
 ///
 /// The `\u{1}` prefix cannot appear in SPARQL text, so prepared keys
 /// never collide with query-string keys sharing the same cache.
-fn prepared_cache_key(prepared: &Prepared, args: &[Term]) -> String {
+pub(crate) fn prepared_cache_key(prepared: &Prepared, args: &[Term]) -> String {
     fn push_field(key: &mut String, field: &str) {
         key.push_str(&field.len().to_string());
         key.push(':');
@@ -236,10 +231,8 @@ impl ShardedPlanCache {
         self.shard(query).lock().get(query, version)
     }
 
-    pub(crate) fn insert(&self, query: &str, version: u64, plan: Arc<CompiledQuery>) {
-        self.shard(query)
-            .lock()
-            .insert(query.to_owned(), version, plan);
+    pub(crate) fn insert(&self, query: String, version: u64, plan: Arc<CompiledQuery>) {
+        self.shard(&query).lock().insert(query, version, plan);
     }
 
     /// Total entries across all shards.
@@ -348,10 +341,10 @@ mod tests {
     fn sharded_cache_bounds_and_hits() {
         let cache = ShardedPlanCache::new(16);
         for i in 0..100 {
-            cache.insert(&format!("q{i}"), 0, plan());
+            cache.insert(format!("q{i}"), 0, plan());
         }
         assert!(cache.len() <= 16 + PLAN_CACHE_SHARDS);
-        cache.insert("stable", 0, plan());
+        cache.insert("stable".to_owned(), 0, plan());
         assert!(cache.get("stable", 0).is_some());
         assert!(cache.get("stable", 1).is_none());
     }

@@ -55,15 +55,6 @@ impl<E: Endpoint> FlakyEndpoint<E> {
 impl<E: Endpoint> Endpoint for FlakyEndpoint<E> {
     /// One failure opportunity per request — a whole batch is one
     /// transport exchange, so it fails (and is retried) as a unit.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.maybe_fail()?;
-        self.inner.execute(req)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -71,6 +62,10 @@ impl<E: Endpoint> Endpoint for FlakyEndpoint<E> {
     ) -> Result<Response, EndpointError> {
         self.maybe_fail()?;
         self.inner.execute_with_budget(req, budget)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 
@@ -453,21 +448,18 @@ impl<E: Endpoint> RetryEndpoint<E> {
 impl<E: Endpoint> Endpoint for RetryEndpoint<E> {
     /// Re-issues the whole request on transient failure (requests are
     /// cheap to clone: borrowed strings, template references, and — for
-    /// batches — a vector of the same).
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.guarded(|| self.inner.execute(req.clone()))
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
+    /// batches — a vector of the same). Every attempt runs under the
+    /// caller's one budget, so retries cannot outlive its deadline.
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         self.guarded(|| self.inner.execute_with_budget(req.clone(), budget))
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 
@@ -547,10 +539,14 @@ mod tests {
     }
 
     impl Endpoint for Scripted {
-        fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        fn execute_with_budget(
+            &self,
+            req: Request<'_>,
+            budget: &QueryBudget,
+        ) -> Result<Response, EndpointError> {
             let mut errors = self.errors.lock().unwrap();
             if errors.is_empty() {
-                self.inner.execute(req)
+                self.inner.execute_with_budget(req, budget)
             } else {
                 Err(errors.remove(0))
             }

@@ -222,14 +222,6 @@ fn classify_io(context: impl std::fmt::Display, error: &std::io::Error) -> Endpo
 }
 
 impl Endpoint for RemoteEndpoint {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.execute_inner(req, None)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The remaining time of the caller's budget travels as
     /// `X-Deadline-Ms`; an already-expired or cancelled budget fails
     /// locally without spending a round trip. Scan/binding caps are
@@ -250,6 +242,10 @@ impl Endpoint for RemoteEndpoint {
             (left.as_millis() as u64).max(1)
         });
         self.execute_inner(req, deadline_ms)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 

@@ -3,10 +3,10 @@
 //!
 //! Every wire request — a single query or a whole batch — is **one
 //! scheduler job**, submitted under the client id from the `X-Client`
-//! header. That puts remote traffic behind exactly the machinery local
-//! [`sofya_service::QueryService`] traffic gets: per-client quotas
-//! (`429 Too Many Requests`), bounded-queue backpressure (`503` with
-//! `Retry-After`), panic containment (`500`, pool keeps serving), and
+//! header. That puts remote traffic behind the scheduler's full
+//! machinery: per-client quotas (`429 Too Many Requests`),
+//! bounded-queue backpressure (`503` with `Retry-After`), panic
+//! containment (`500`, pool keeps serving), and
 //! p50/p99 latency metrics (exposed at `GET /metrics` and via
 //! [`HttpServer::metrics`]).
 //!
@@ -25,7 +25,7 @@
 use crate::http::{read_request, write_response, HttpRequest};
 use crate::ingest::{parse_ingest_body, IngestSink};
 use crate::json::Json;
-use crate::wire::{envelope_to_json, execute_wire_budgeted, WireRequest};
+use crate::wire::{envelope_to_json, execute_wire, WireRequest};
 use parking_lot::Mutex;
 use sofya_endpoint::{
     map_budget_error, BudgetConfig, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge,
@@ -180,10 +180,8 @@ impl HttpServer {
                     // sofya: allow(determinism) — per-job latency metric, never alignment state
                     let started = Instant::now();
                     match job.payload {
-                        JobPayload::Query(wire) => {
-                            execute_wire_budgeted(endpoint.as_ref(), &wire, &budget)
-                                .map_err(|e| map_budget_error(e, started.elapsed()))
-                        }
+                        JobPayload::Query(wire) => execute_wire(endpoint.as_ref(), &wire, &budget)
+                            .map_err(|e| map_budget_error(e, started.elapsed())),
                         // The ingest sink owns publishing; the epoch it
                         // returns rides back as a count response.
                         JobPayload::Ingest(triples) => match &ingest_sink {

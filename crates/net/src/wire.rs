@@ -178,21 +178,11 @@ pub fn reshape(wire: &WireRequest, response: Response) -> Result<Response, Endpo
     }
 }
 
-/// Executes one wire request against an endpoint: a single
-/// `execute` call for the whole tree, then [`reshape`].
-pub fn execute_wire(
-    ep: &dyn sofya_endpoint::Endpoint,
-    wire: &WireRequest,
-) -> Result<Response, EndpointError> {
-    let buf = wire.to_request_buf();
-    let response = ep.execute(buf.as_request())?;
-    reshape(wire, response)
-}
-
-/// [`execute_wire`] under a [`QueryBudget`]: the whole tree runs on the
-/// endpoint's budgeted path, so a deadline, scan cap, or cancel token
+/// Executes one wire request against an endpoint under a
+/// [`QueryBudget`]: a single `execute_with_budget` call for the whole
+/// tree, then [`reshape`]. A deadline, scan cap, or cancel token thus
 /// bounds server-side work for the request as a unit.
-pub fn execute_wire_budgeted(
+pub fn execute_wire(
     ep: &dyn sofya_endpoint::Endpoint,
     wire: &WireRequest,
     budget: &QueryBudget,
@@ -632,7 +622,7 @@ mod tests {
             args: &args,
         })
         .unwrap();
-        let remote_shaped = execute_wire(&ep, &wire).unwrap();
+        let remote_shaped = execute_wire(&ep, &wire, &QueryBudget::unlimited()).unwrap();
         assert_eq!(remote_shaped, local);
         assert_eq!(remote_shaped, Response::Count(2));
     }

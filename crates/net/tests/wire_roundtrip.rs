@@ -10,7 +10,7 @@ use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, RequestBuf, Respons
 use sofya_net::wire::{envelope_from_json, envelope_to_json};
 use sofya_net::{execute_wire, Json, WireRequest};
 use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::{Prepared, ResultSet, SparqlError};
+use sofya_sparql::{Prepared, QueryBudget, ResultSet, SparqlError};
 use std::sync::{Arc, OnceLock};
 
 // --------------------------------------------------------------- fixtures
@@ -193,7 +193,8 @@ proptest! {
         let ep = store_endpoint();
         let direct = ep.execute(req.as_request()).expect("direct execution");
         let wire = WireRequest::from_request(&req.as_request()).expect("lowering");
-        let via_wire = execute_wire(ep, &wire).expect("wire execution");
+        let via_wire =
+            execute_wire(ep, &wire, &QueryBudget::unlimited()).expect("wire execution");
         prop_assert_eq!(direct, via_wire);
     }
 

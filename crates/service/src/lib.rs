@@ -17,10 +17,10 @@
 //!   atomics, shared freely with the workers;
 //! * the alignment-specific [`service::AlignmentService`]: a shared
 //!   [`sofya_core::AlignmentSession`] (first request per relation pays,
-//!   later ones are cache hits) scheduled across the pool;
-//! * the [`query::QueryService`]: raw endpoint traffic, scheduled as
-//!   whole [`sofya_endpoint::Request::Batch`]es — one job, one snapshot
-//!   pin, one response set per client batch.
+//!   later ones are cache hits) scheduled across the pool.
+//!
+//! Raw endpoint traffic is scheduled by `sofya-net`'s HTTP server, one
+//! job per wire request on the same [`scheduler`].
 //!
 //! Snapshot isolation for the *data* side lives one layer down, in
 //! [`sofya_endpoint::SnapshotStore`] / [`sofya_endpoint::ConcurrentEndpoint`]:
@@ -40,13 +40,11 @@
 #![forbid(unsafe_code)]
 
 pub mod metrics;
-pub mod query;
 pub mod queue;
 pub mod scheduler;
 pub mod service;
 
 pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics};
-pub use query::{QueryBatch, QueryBatchOutcome, QueryFailure, QueryService};
 pub use queue::{BoundedQueue, PushError};
 pub use scheduler::{
     run_batch, serve, JobOutcome, JobTicket, RejectedJob, SchedulerConfig, SchedulerHandle,

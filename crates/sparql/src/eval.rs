@@ -18,11 +18,6 @@ pub enum QueryOutcome {
     Boolean(bool),
 }
 
-/// Parses and executes any supported query.
-pub fn execute_query(store: &TripleStore, query: &str) -> Result<QueryOutcome, SparqlError> {
-    execute_with_options(store, query, PlanOptions::default())
-}
-
 /// Parses and executes any supported query with explicit [`PlanOptions`]
 /// (statistics-driven join ordering, or written-order evaluation).
 pub fn execute_with_options(
@@ -31,12 +26,6 @@ pub fn execute_with_options(
     opts: PlanOptions<'_>,
 ) -> Result<QueryOutcome, SparqlError> {
     execute_ast_with_options(store, &parse_query(query)?, opts)
-}
-
-/// Executes an already-parsed query (the fast path for prepared queries:
-/// no tokenizing, no parsing).
-pub fn execute_ast(store: &TripleStore, query: &Query) -> Result<QueryOutcome, SparqlError> {
-    execute_ast_with_options(store, query, PlanOptions::default())
 }
 
 /// Executes an already-parsed query with explicit [`PlanOptions`].
@@ -107,7 +96,7 @@ enum CompiledInner {
 }
 
 /// Parses and plans `query` against `store` for repeated execution via
-/// [`execute_compiled`].
+/// [`execute_compiled_paged_budgeted`].
 pub fn compile_with_options(
     store: &TripleStore,
     query: &str,
@@ -129,7 +118,7 @@ pub fn compile_with_options(
 /// execution. This is the backing for endpoint-level *prepared* plan
 /// caches: the join order of a bound template does not depend on
 /// `LIMIT`/`OFFSET`, so one compilation serves every page via
-/// [`execute_compiled_paged`].
+/// [`execute_compiled_paged_budgeted`].
 pub fn compile_ast_with_options(
     store: &TripleStore,
     query: &Query,
@@ -147,39 +136,12 @@ pub fn compile_ast_with_options(
     CompiledQuery { inner }
 }
 
-/// Executes a compiled query against the store it was compiled for.
-pub fn execute_compiled(
-    store: &TripleStore,
-    compiled: &CompiledQuery,
-) -> Result<QueryOutcome, SparqlError> {
-    execute_compiled_paged(store, compiled, None, None)
-}
-
-/// Executes a compiled query under a [`QueryBudget`] (see
-/// [`execute_ast_budgeted`] for the cooperative-cancellation contract).
-pub fn execute_compiled_budgeted(
-    store: &TripleStore,
-    compiled: &CompiledQuery,
-    budget: &QueryBudget,
-) -> Result<QueryOutcome, SparqlError> {
-    execute_compiled_paged_budgeted(store, compiled, None, None, budget)
-}
-
-/// Executes a compiled query with a structural `LIMIT`/`OFFSET` override
-/// (`None` keeps the compiled query's own modifier). The pagination of a
-/// solution sequence never changes the plan, so cached compilations are
-/// shared across all pages of a shape.
-pub fn execute_compiled_paged(
-    store: &TripleStore,
-    compiled: &CompiledQuery,
-    limit: Option<usize>,
-    offset: Option<usize>,
-) -> Result<QueryOutcome, SparqlError> {
-    execute_compiled_paged_budgeted(store, compiled, limit, offset, &QueryBudget::unlimited())
-}
-
-/// Executes a compiled query with pagination overrides under a
-/// [`QueryBudget`] (see [`execute_ast_budgeted`]).
+/// Executes a compiled query against the store it was compiled for,
+/// under a [`QueryBudget`] (see [`execute_ast_budgeted`]), with a
+/// structural `LIMIT`/`OFFSET` override (`None` keeps the compiled
+/// query's own modifier). The pagination of a solution sequence never
+/// changes the plan, so cached compilations are shared across all pages
+/// of a shape; [`QueryBudget::unlimited`] runs it to completion.
 pub fn execute_compiled_paged_budgeted(
     store: &TripleStore,
     compiled: &CompiledQuery,
@@ -224,7 +186,7 @@ fn execute_ask_planned(
 
 /// Parses and executes a `SELECT` query.
 pub fn execute(store: &TripleStore, query: &str) -> Result<ResultSet, SparqlError> {
-    match execute_query(store, query)? {
+    match execute_with_options(store, query, PlanOptions::default())? {
         QueryOutcome::Solutions(rs) => Ok(rs),
         QueryOutcome::Boolean(_) => Err(SparqlError::eval("expected a SELECT query, found ASK")),
     }
@@ -232,7 +194,7 @@ pub fn execute(store: &TripleStore, query: &str) -> Result<ResultSet, SparqlErro
 
 /// Parses and executes an `ASK` query.
 pub fn execute_ask(store: &TripleStore, query: &str) -> Result<bool, SparqlError> {
-    match execute_query(store, query)? {
+    match execute_with_options(store, query, PlanOptions::default())? {
         QueryOutcome::Boolean(b) => Ok(b),
         QueryOutcome::Solutions(_) => Err(SparqlError::eval("expected an ASK query, found SELECT")),
     }
@@ -279,11 +241,6 @@ fn exact_pattern_count(store: &TripleStore, plan: &GroupPlan) -> Option<usize> {
     }
 }
 
-/// Executes a parsed `SELECT` query.
-pub fn execute_select(store: &TripleStore, query: &SelectQuery) -> Result<ResultSet, SparqlError> {
-    execute_select_with(store, query, PlanOptions::default())
-}
-
 /// The single-row result of an aggregate projection, with the effective
 /// solution modifiers applied: `OFFSET ≥ 1` or `LIMIT 0` drop the row.
 fn aggregate_row(
@@ -299,29 +256,6 @@ fn aggregate_row(
         Vec::new()
     };
     ResultSet::new(vec![alias.to_owned()], rows)
-}
-
-/// Executes a parsed `SELECT` query with explicit [`PlanOptions`].
-pub fn execute_select_with(
-    store: &TripleStore,
-    query: &SelectQuery,
-    opts: PlanOptions<'_>,
-) -> Result<ResultSet, SparqlError> {
-    execute_select_budgeted(store, query, opts, &QueryBudget::unlimited())
-}
-
-/// Executes a parsed `SELECT` under a [`QueryBudget`] (see
-/// [`execute_ast_budgeted`]).
-pub fn execute_select_budgeted(
-    store: &TripleStore,
-    query: &SelectQuery,
-    opts: PlanOptions<'_>,
-    budget: &QueryBudget,
-) -> Result<ResultSet, SparqlError> {
-    let mut tracker = BudgetTracker::new(budget);
-    tracker.preflight()?;
-    let plan = GroupPlan::build_with(store, &query.pattern, &[], opts);
-    execute_select_planned_paged(store, query, &plan, None, None, &mut tracker)
 }
 
 /// Executes a planned `SELECT` with optional `LIMIT`/`OFFSET` overrides
@@ -1112,7 +1046,7 @@ mod tests {
         // The same query under an ample budget matches the unbudgeted run.
         let roomy = QueryBudget::unlimited().with_max_rows_scanned(1_000_000);
         let budgeted = execute_ast_budgeted(&s, &q, PlanOptions::default(), &roomy).unwrap();
-        let plain = execute_ast(&s, &q).unwrap();
+        let plain = execute_ast_with_options(&s, &q, PlanOptions::default()).unwrap();
         assert_eq!(budgeted, plain);
     }
 

@@ -12,14 +12,14 @@
 //!
 //! ```
 //! use sofya_rdf::{Term, TripleStore};
-//! use sofya_sparql::Prepared;
+//! use sofya_sparql::{execute_ast_with_options, PlanOptions, Prepared, QueryOutcome};
 //!
 //! let probe = Prepared::new("ASK { ?s ?r ?y }", &["s", "r"]).unwrap();
 //! let mut store = TripleStore::new();
 //! store.insert_terms(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
 //! let bound = probe.bind(&[Term::iri("a"), Term::iri("p")]).unwrap();
-//! let out = sofya_sparql::execute_ast(&store, &bound).unwrap();
-//! assert_eq!(out, sofya_sparql::QueryOutcome::Boolean(true));
+//! let out = execute_ast_with_options(&store, &bound, PlanOptions::default()).unwrap();
+//! assert_eq!(out, QueryOutcome::Boolean(true));
 //! ```
 //!
 //! Binding replaces every occurrence of a parameter variable — in triple
@@ -273,7 +273,8 @@ fn bind_expr(expr: &mut Expr, params: &[String], args: &[Term]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{execute, execute_ask, execute_ast};
+    use crate::eval::{execute, execute_ask, execute_ast_with_options};
+    use crate::plan::PlanOptions;
     use crate::QueryOutcome;
     use sofya_rdf::TripleStore;
 
@@ -295,7 +296,7 @@ mod tests {
             ("e:c", "r:p", false),
         ] {
             let bound = probe.bind(&[Term::iri(s), Term::iri(r)]).unwrap();
-            let direct = execute_ast(&store, &bound).unwrap();
+            let direct = execute_ast_with_options(&store, &bound, PlanOptions::default()).unwrap();
             let via_string = execute_ask(&store, &format!("ASK {{ <{s}> <{r}> ?y }}")).unwrap();
             assert_eq!(direct, QueryOutcome::Boolean(want));
             assert_eq!(via_string, want);
@@ -311,7 +312,9 @@ mod tests {
         )
         .unwrap();
         let bound = q.bind(&[Term::iri("e:a"), Term::iri("e:b")]).unwrap();
-        let QueryOutcome::Solutions(rs) = execute_ast(&store, &bound).unwrap() else {
+        let QueryOutcome::Solutions(rs) =
+            execute_ast_with_options(&store, &bound, PlanOptions::default()).unwrap()
+        else {
             panic!("expected solutions");
         };
         let oracle = execute(
@@ -339,7 +342,9 @@ mod tests {
         )
         .unwrap();
         let bound = q.bind(&[Term::iri("e:c")]).unwrap();
-        let QueryOutcome::Solutions(rs) = execute_ast(&store, &bound).unwrap() else {
+        let QueryOutcome::Solutions(rs) =
+            execute_ast_with_options(&store, &bound, PlanOptions::default()).unwrap()
+        else {
             panic!("expected solutions");
         };
         // e:a has r:q→e:c, so only e:b survives.
@@ -363,11 +368,11 @@ mod tests {
             .bind(&[Term::iri("e:a"), Term::literal("Bob")])
             .unwrap();
         assert_eq!(
-            execute_ast(&store, &hit).unwrap(),
+            execute_ast_with_options(&store, &hit, PlanOptions::default()).unwrap(),
             QueryOutcome::Boolean(true)
         );
         assert_eq!(
-            execute_ast(&store, &miss).unwrap(),
+            execute_ast_with_options(&store, &miss, PlanOptions::default()).unwrap(),
             QueryOutcome::Boolean(false)
         );
     }
@@ -403,9 +408,12 @@ mod tests {
         let store = demo_store();
         let q = Prepared::new("SELECT ?y WHERE { ?s ?p ?y } ORDER BY ?y", &["s"]).unwrap();
         let all = {
-            let QueryOutcome::Solutions(rs) =
-                execute_ast(&store, &q.bind(&[Term::iri("e:a")]).unwrap()).unwrap()
-            else {
+            let QueryOutcome::Solutions(rs) = execute_ast_with_options(
+                &store,
+                &q.bind(&[Term::iri("e:a")]).unwrap(),
+                PlanOptions::default(),
+            )
+            .unwrap() else {
                 panic!("expected solutions");
             };
             rs
@@ -413,7 +421,9 @@ mod tests {
         assert_eq!(all.len(), 2);
         for (limit, offset) in [(Some(1), None), (Some(1), Some(1)), (None, Some(1))] {
             let bound = q.bind_paged(&[Term::iri("e:a")], limit, offset).unwrap();
-            let QueryOutcome::Solutions(page) = execute_ast(&store, &bound).unwrap() else {
+            let QueryOutcome::Solutions(page) =
+                execute_ast_with_options(&store, &bound, PlanOptions::default()).unwrap()
+            else {
                 panic!("expected solutions");
             };
             let mut text = "SELECT ?y WHERE { <e:a> ?p ?y } ORDER BY ?y".to_owned();
@@ -433,7 +443,9 @@ mod tests {
         let store = demo_store();
         let q = Prepared::new("SELECT ?y WHERE { ?s ?p ?y } ORDER BY ?y LIMIT 1", &["s"]).unwrap();
         let bound = q.bind_paged(&[Term::iri("e:a")], None, None).unwrap();
-        let QueryOutcome::Solutions(rs) = execute_ast(&store, &bound).unwrap() else {
+        let QueryOutcome::Solutions(rs) =
+            execute_ast_with_options(&store, &bound, PlanOptions::default()).unwrap()
+        else {
             panic!("expected solutions");
         };
         assert_eq!(rs.len(), 1, "template's own LIMIT 1 must survive");
@@ -452,9 +464,10 @@ mod tests {
             .render_paged(&[Term::iri("e:a")], Some(1), Some(1))
             .unwrap();
         let via_string = execute(&store, &text).unwrap();
-        let QueryOutcome::Solutions(direct) = execute_ast(
+        let QueryOutcome::Solutions(direct) = execute_ast_with_options(
             &store,
             &q.bind_paged(&[Term::iri("e:a")], Some(1), Some(1)).unwrap(),
+            PlanOptions::default(),
         )
         .unwrap() else {
             panic!("expected solutions");
