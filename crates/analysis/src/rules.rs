@@ -745,7 +745,7 @@ mod tests {
         let r = regions(&toks);
         let lines: Vec<&str> = src.lines().collect();
         let ctx = FileCtx {
-            path: "crates/endpoint/src/plan_cache.rs",
+            path: "crates/endpoint/src/cache.rs",
             toks: &toks,
             regions: &r,
             lines: &lines,

@@ -23,8 +23,8 @@ use std::time::Duration;
 /// a batch re-issuing known probes is answered from the cache without
 /// touching the inner endpoint at all. (Decomposition means a cached
 /// batch no longer reaches the inner endpoint as one unit; stack this
-/// wrapper over a [`crate::PinnedEndpoint`] when batch-level snapshot
-/// consistency matters too.)
+/// wrapper over the view [`crate::ConcurrentEndpoint::pinned`] returns
+/// when batch-level snapshot consistency matters too.)
 ///
 /// [`CachingEndpoint::with_ttl`] adds expiry against an injected
 /// [`Clock`]: an entry older than the TTL counts as a miss, is evicted,

@@ -16,18 +16,18 @@
 //!   entirely lock-free against immutable data, so readers never block
 //!   each other or the writer mid-query, and a publish mid-query is
 //!   harmless: the running query keeps its snapshot alive.
+//! * [`ConcurrentEndpoint::pinned`] hands out a [`LocalEndpoint`] over the
+//!   snapshot current at pin time, for dependent query sequences that
+//!   must not straddle a publish.
 //!
-//! Plans are cached in a sharded LRU keyed by query string and stamped
-//! with the snapshot version they were compiled against (see the
-//! crate-private `plan_cache` module); a publish therefore invalidates
-//! stale plans lazily, on their next lookup.
+//! Every query is parsed and planned against the snapshot it runs on, so
+//! a publish needs no invalidation step: no plan outlives its snapshot.
 
 use crate::delta::{DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
-use crate::local::DEFAULT_PLAN_CACHE_CAPACITY;
+use crate::local::LocalEndpoint;
 use crate::outcome::execute_on_store;
-use crate::plan_cache::ShardedPlanCache;
 use parking_lot::Mutex;
 use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TripleStore};
 use sofya_sparql::{PlanOptions, QueryBudget};
@@ -45,7 +45,7 @@ pub struct PublishedSnapshot {
 }
 
 impl PublishedSnapshot {
-    fn new(snapshot: StoreSnapshot) -> Self {
+    pub(crate) fn new(snapshot: StoreSnapshot) -> Self {
         Self {
             snapshot,
             stats: OnceLock::new(),
@@ -76,7 +76,7 @@ impl PublishedSnapshot {
             .get_or_init(|| StoreStats::compute(self.snapshot.store()))
     }
 
-    fn plan_options(&self) -> PlanOptions<'_> {
+    pub(crate) fn plan_options(&self) -> PlanOptions<'_> {
         PlanOptions {
             stats: Some(self.stats()),
             ..PlanOptions::default()
@@ -139,9 +139,6 @@ fn resolve_delta(
 pub struct SnapshotStore {
     store: TripleStore,
     cell: Arc<Cell>,
-    /// Shared by every reader handed out from this store, so workers
-    /// reuse one another's compiled plans.
-    plans: Arc<ShardedPlanCache>,
     /// Ring of recent publish deltas for incremental subscribers.
     deltas: Arc<DeltaLog>,
     /// Streaming freshness gauges (`last_publish_epoch`, …).
@@ -172,7 +169,6 @@ impl SnapshotStore {
             cell: Arc::new(Cell {
                 current: Mutex::new(first),
             }),
-            plans: Arc::new(ShardedPlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             deltas: Arc::new(DeltaLog::new(delta_capacity, initial_epoch)),
             freshness,
         }
@@ -200,8 +196,8 @@ impl SnapshotStore {
     ///
     /// **No-op fast path:** with zero pending mutations the currently
     /// published snapshot is left in place (same `Arc`, same epoch, same
-    /// publication time) and a no-op delta is returned. Version-stamped
-    /// cached plans therefore stay valid across idle publishes.
+    /// publication time, same computed statistics) and a no-op delta is
+    /// returned.
     pub fn publish(&mut self) -> Arc<PublishDelta> {
         let current_epoch = self.current().version();
         if self.store.generation() == current_epoch {
@@ -254,12 +250,11 @@ impl SnapshotStore {
 
     /// A concurrent endpoint over whatever snapshot is current at each
     /// query. All readers created from the same `SnapshotStore` (and
-    /// their clones) share one sharded plan cache.
+    /// their clones) share one epoch cell.
     pub fn reader(&self, name: impl Into<String>) -> ConcurrentEndpoint {
         ConcurrentEndpoint {
             name: name.into(),
             cell: Arc::clone(&self.cell),
-            plans: Arc::clone(&self.plans),
         }
     }
 }
@@ -267,14 +262,12 @@ impl SnapshotStore {
 /// A thread-safe [`Endpoint`] answering every query against the snapshot
 /// current at the moment the query starts.
 ///
-/// Clones share the epoch cell *and* the sharded plan cache, so a pool of
-/// worker threads can each hold a clone and still reuse one another's
-/// compiled plans.
+/// Clones share the epoch cell, so a pool of worker threads can each hold
+/// a clone and all follow the writer's publishes.
 #[derive(Clone)]
 pub struct ConcurrentEndpoint {
     name: String,
     cell: Arc<Cell>,
-    plans: Arc<ShardedPlanCache>,
 }
 
 impl ConcurrentEndpoint {
@@ -293,17 +286,6 @@ impl ConcurrentEndpoint {
         self.current().age()
     }
 
-    /// Total cached plans across all shards.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Re-bounds the sharded plan cache (total capacity, split evenly
-    /// across shards; 0 disables caching).
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        self.plans.set_capacity(capacity);
-    }
-
     /// An endpoint view **pinned** to the currently published snapshot.
     ///
     /// `ConcurrentEndpoint` resolves the snapshot per query — maximal
@@ -313,39 +295,9 @@ impl ConcurrentEndpoint {
     /// answers every query from the one snapshot current at pin time, so
     /// such sequences are transactionally consistent; create one per
     /// logical unit of work and drop it to release the snapshot.
-    pub fn pinned(&self) -> PinnedEndpoint {
-        PinnedEndpoint {
-            name: self.name.clone(),
-            snap: self.cell.load(),
-            plans: Arc::clone(&self.plans),
-        }
+    pub fn pinned(&self) -> LocalEndpoint {
+        LocalEndpoint::pinned(self.name.clone(), self.cell.load())
     }
-}
-
-/// Executes one typed request against one published snapshot through
-/// the shared in-process executor, with the sharded plan cache stamped
-/// at the snapshot's version (entries from older versions are misses:
-/// their constant ids may be stale). Shared by the per-query-fresh
-/// [`ConcurrentEndpoint`] and the transactionally-consistent
-/// [`PinnedEndpoint`]. A batch recurses with the **same** snapshot, so
-/// its sub-requests observe one consistent state no matter how many
-/// publishes land while it runs; a killed query drops its snapshot `Arc`
-/// like any other — no state to roll back.
-fn execute_on_snapshot(
-    plans: &ShardedPlanCache,
-    snap: &PublishedSnapshot,
-    req: Request<'_>,
-    budget: &QueryBudget,
-) -> Result<Response, EndpointError> {
-    let version = snap.version();
-    execute_on_store(
-        snap.snapshot().store(),
-        snap.plan_options(),
-        &|key| plans.get(key, version),
-        &|key, plan| plans.insert(key, version, plan),
-        req,
-        budget,
-    )
 }
 
 impl Endpoint for ConcurrentEndpoint {
@@ -357,64 +309,11 @@ impl Endpoint for ConcurrentEndpoint {
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        execute_on_snapshot(&self.plans, &self.cell.load(), req, budget)
+        execute_on_store(&self.cell.load(), req, budget)
     }
 
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-/// An [`Endpoint`] pinned to one published snapshot (see
-/// [`ConcurrentEndpoint::pinned`]): every query — string, prepared, or
-/// paged — answers from the same state, so dependent query sequences are
-/// transactionally consistent even while the writer keeps publishing.
-/// Shares the plan cache of the endpoint it was pinned from.
-#[derive(Clone)]
-pub struct PinnedEndpoint {
-    name: String,
-    snap: Arc<PublishedSnapshot>,
-    plans: Arc<ShardedPlanCache>,
-}
-
-impl PinnedEndpoint {
-    /// The snapshot this view is pinned to.
-    pub fn snapshot(&self) -> &PublishedSnapshot {
-        &self.snap
-    }
-
-    /// Version of the pinned snapshot.
-    pub fn snapshot_version(&self) -> u64 {
-        self.snap.version()
-    }
-
-    /// Age of the pinned snapshot (grows while pinned).
-    pub fn snapshot_age(&self) -> Duration {
-        self.snap.age()
-    }
-}
-
-impl Endpoint for PinnedEndpoint {
-    fn execute_with_budget(
-        &self,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        execute_on_snapshot(&self.plans, &self.snap, req, budget)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl std::fmt::Debug for PinnedEndpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PinnedEndpoint")
-            .field("name", &self.name)
-            .field("snapshot_version", &self.snap.version())
-            .field("snapshot_triples", &self.snap.snapshot().len())
-            .finish()
     }
 }
 
@@ -425,7 +324,6 @@ impl std::fmt::Debug for ConcurrentEndpoint {
             .field("name", &self.name)
             .field("snapshot_version", &snap.version())
             .field("snapshot_triples", &snap.snapshot().len())
-            .field("cached_plans", &self.plan_cache_len())
             .finish()
     }
 }
@@ -464,20 +362,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_is_invalidated_by_publish() {
+    fn absent_constant_query_sees_later_publish() {
         let mut writer = seeded();
         let ep = writer.reader("kb");
-        // Compile a query whose constant does not exist yet: the plan
-        // embeds "provably empty".
+        // A query whose constant does not exist yet plans as "provably
+        // empty" against the current snapshot.
         let q = "SELECT ?o { <e:new> <r:q> ?o }";
         assert_eq!(ep.select(q).unwrap().len(), 0);
-        assert_eq!(ep.plan_cache_len(), 1);
 
         writer
             .store_mut()
             .insert_terms(&Term::iri("e:new"), &Term::iri("r:q"), &Term::iri("e:z"));
         writer.publish();
-        // A stale cached plan would still answer 0 here.
+        // A plan kept from the old snapshot would still answer 0 here.
         assert_eq!(ep.select(q).unwrap().len(), 1);
     }
 
@@ -677,14 +574,16 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_cache_and_cell() {
+    fn clones_share_cell() {
         let mut writer = seeded();
         let a = writer.reader("kb");
         let b = a.clone();
-        a.select("SELECT ?o { <e:a> <r:p> ?o }").unwrap();
-        assert_eq!(b.plan_cache_len(), 1);
+        writer
+            .store_mut()
+            .insert_terms(&Term::iri("e:a"), &Term::iri("r:p"), &Term::iri("e:d"));
         writer.publish();
         assert_eq!(a.snapshot_version(), b.snapshot_version());
+        assert_eq!(b.select("SELECT ?o { <e:a> <r:p> ?o }").unwrap().len(), 3);
     }
 
     #[test]
@@ -707,15 +606,13 @@ mod tests {
         );
     }
 
-    /// Satellite regression: a publish with zero pending mutations must
-    /// not bump the epoch, swap the snapshot `Arc`, reset the age clock,
-    /// or invalidate version-stamped cached plans.
+    /// A publish with zero pending mutations must not bump the epoch,
+    /// swap the snapshot `Arc`, or reset the age clock.
     #[test]
-    fn noop_publish_keeps_snapshot_epoch_and_plans() {
+    fn noop_publish_keeps_snapshot_and_epoch() {
         let mut writer = seeded();
         let ep = writer.reader("kb");
         assert_eq!(ep.select("SELECT ?o { <e:a> <r:p> ?o }").unwrap().len(), 2);
-        assert_eq!(ep.plan_cache_len(), 1);
 
         let before = writer.current();
         let delta = writer.publish();
@@ -728,10 +625,8 @@ mod tests {
         );
         assert_eq!(writer.delta_log().len(), 0, "no-op deltas are not logged");
 
-        // The cached plan is still valid (same version stamp) and the
-        // reader still answers correctly.
+        // The reader still answers correctly.
         assert_eq!(ep.select("SELECT ?o { <e:a> <r:p> ?o }").unwrap().len(), 2);
-        assert_eq!(ep.plan_cache_len(), 1);
 
         // A real mutation still publishes as before.
         writer

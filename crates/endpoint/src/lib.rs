@@ -18,11 +18,12 @@
 //!   method, so no query shape and no deadline can bypass a middleware
 //!   layer. Algorithms call the ergonomic [`EndpointExt`] methods, which
 //!   build the request and destructure the [`Response`].
-//! * [`LocalEndpoint`] — an endpoint backed by an in-process
-//!   [`sofya_rdf::TripleStore`] evaluated by `sofya-sparql`; plays the role
-//!   of the remote server in this reproduction. It shares one executor
-//!   with [`ConcurrentEndpoint`] and [`PinnedEndpoint`]; the backends
-//!   differ only in their plan caches.
+//! * [`LocalEndpoint`] — an endpoint over one immutable snapshot of an
+//!   in-process [`sofya_rdf::TripleStore`], evaluated by `sofya-sparql`;
+//!   plays the role of the remote server in this reproduction, and is the
+//!   pinned view [`ConcurrentEndpoint::pinned`] hands out. It and
+//!   [`ConcurrentEndpoint`] share one executor, which parses and plans
+//!   every query per call against the snapshot it runs on.
 //! * [`InstrumentedEndpoint`] — counts queries and transferred rows/cells,
 //!   so experiments can report the paper's "works with few queries" claim
 //!   quantitatively (experiment S3 in DESIGN.md).
@@ -35,7 +36,7 @@
 //!   many-readers split: the writer keeps loading and periodically
 //!   publishes an immutable store snapshot; concurrent readers answer
 //!   every query (string, prepared, and paged-prepared) lock-free against
-//!   the currently published snapshot through a sharded LRU plan cache.
+//!   the currently published snapshot.
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
@@ -58,13 +59,12 @@ pub mod instrument;
 pub mod latency;
 pub mod local;
 pub(crate) mod outcome;
-pub(crate) mod plan_cache;
 pub mod quota;
 pub mod retry;
 
 pub use cache::CachingEndpoint;
 pub use clock::{Clock, ManualClock, WallClock};
-pub use concurrent::{ConcurrentEndpoint, PinnedEndpoint, PublishedSnapshot, SnapshotStore};
+pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
 pub use deadline::{map_budget_error, BudgetConfig, DeadlineEndpoint};
 pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};

@@ -1,107 +1,74 @@
-//! An endpoint backed by an in-process triple store.
+//! An endpoint over one immutable, in-process store snapshot.
+//!
+//! [`LocalEndpoint`] is the "remote server" of this reproduction and the
+//! pinned view handed out by [`crate::ConcurrentEndpoint::pinned`]: a
+//! name plus one [`PublishedSnapshot`]. Every query is parsed (or bound)
+//! and planned per call against that snapshot, with the snapshot's
+//! statistics driving the planner.
 
+use crate::concurrent::PublishedSnapshot;
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
 use crate::outcome::execute_on_store;
-use crate::plan_cache::LruPlanCache;
-use parking_lot::Mutex;
-use sofya_rdf::{StoreStats, TripleStore};
-use sofya_sparql::{PlanOptions, QueryBudget};
-use std::sync::{Arc, OnceLock};
+use sofya_rdf::TripleStore;
+use sofya_sparql::QueryBudget;
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Default bound on the per-endpoint plan cache. The aligner issues a few
-/// dozen distinct query strings per relation; 512 comfortably covers a
-/// whole alignment session while bounding memory for adversarial query
-/// streams.
-pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 512;
-
-/// The "remote server" of this reproduction: a [`TripleStore`] queried
-/// through `sofya-sparql`. The store is immutable once wrapped, so the
-/// endpoint is trivially thread-safe — and that immutability buys two
-/// layers of work-skipping:
+/// A [`TripleStore`] snapshot queried through `sofya-sparql`. The
+/// snapshot is immutable, so the endpoint is trivially thread-safe, every
+/// query — string, prepared, or paged — answers from the same state, and
+/// the planner's [`sofya_rdf::StoreStats`] are computed once (on the first
+/// query) and shared by every clone.
 ///
-/// * [`StoreStats`] are computed once (lazily, on the first query) and fed
-///   to the selectivity-driven query planner on every request;
-/// * a bounded **LRU plan cache** keyed by query string makes re-issued
-///   queries skip tokenizer, parser, and planner entirely (the aligner
-///   re-issues a handful of fixed shapes throughout a session; the LRU
-///   policy — shared with [`crate::ConcurrentEndpoint`]'s shards — keeps
-///   those hot shapes resident even when a scan of many distinct paged
-///   queries passes through), and the prepared request shapes
-///   ([`crate::Request::PreparedSelect`] and friends) execute bound ASTs
-///   directly so parameterized probes never parse at all.
+/// Build one over a whole store with [`LocalEndpoint::new`], or pin one
+/// to a live store's current publication with
+/// [`crate::ConcurrentEndpoint::pinned`], which keeps dependent query
+/// sequences consistent while the writer keeps publishing.
 #[derive(Clone)]
 pub struct LocalEndpoint {
     name: String,
-    store: Arc<TripleStore>,
-    stats: Arc<OnceLock<StoreStats>>,
-    plans: Arc<Mutex<LruPlanCache>>,
+    snap: Arc<PublishedSnapshot>,
 }
 
 impl LocalEndpoint {
-    /// Wraps a store under a display name.
-    pub fn new(name: impl Into<String>, store: TripleStore) -> Self {
-        Self::from_arc(name, Arc::new(store))
+    /// Snapshots `store` once and wraps it under a display name.
+    pub fn new(name: impl Into<String>, mut store: TripleStore) -> Self {
+        Self::pinned(name, Arc::new(PublishedSnapshot::new(store.snapshot())))
     }
 
-    /// Wraps an already-shared store.
-    pub fn from_arc(name: impl Into<String>, store: Arc<TripleStore>) -> Self {
+    /// An endpoint over an already-published snapshot.
+    pub(crate) fn pinned(name: impl Into<String>, snap: Arc<PublishedSnapshot>) -> Self {
         Self {
             name: name.into(),
-            store,
-            stats: Arc::new(OnceLock::new()),
-            plans: Arc::new(Mutex::new(LruPlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY))),
+            snap,
         }
-    }
-
-    /// Overrides the plan-cache capacity (0 disables caching). Existing
-    /// entries beyond the new bound are evicted least-recently-used first.
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        self.plans.lock().set_capacity(capacity);
-    }
-
-    /// Number of cached plans (shared across clones of this endpoint).
-    pub fn plan_cache_len(&self) -> usize {
-        self.plans.lock().len()
     }
 
     /// Read access to the underlying store (used by generators and tests;
     /// the alignment algorithms never touch it).
     pub fn store(&self) -> &TripleStore {
-        &self.store
+        self.snap.snapshot().store()
     }
 
-    /// Cardinality statistics for the wrapped store, computed on first
-    /// use and shared by all clones of this endpoint.
-    pub fn stats(&self) -> &StoreStats {
-        self.stats.get_or_init(|| StoreStats::compute(&self.store))
+    /// Version of the snapshot.
+    pub fn snapshot_version(&self) -> u64 {
+        self.snap.version()
     }
 
-    fn plan_options(&self) -> PlanOptions<'_> {
-        PlanOptions {
-            stats: Some(self.stats()),
-            ..PlanOptions::default()
-        }
+    /// Age of the snapshot (grows while it is held).
+    pub fn snapshot_age(&self) -> Duration {
+        self.snap.age()
     }
 }
 
 impl Endpoint for LocalEndpoint {
-    /// Runs the shared in-process executor against the wrapped store,
-    /// with this endpoint's single LRU plan cache. The store is
-    /// immutable, so every entry is stamped version 0.
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        execute_on_store(
-            &self.store,
-            self.plan_options(),
-            &|key| self.plans.lock().get(key, 0),
-            &|key, plan| self.plans.lock().insert(key, 0, plan),
-            req,
-            budget,
-        )
+        execute_on_store(&self.snap, req, budget)
     }
 
     fn name(&self) -> &str {
@@ -113,8 +80,8 @@ impl std::fmt::Debug for LocalEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalEndpoint")
             .field("name", &self.name)
-            .field("triples", &self.store.len())
-            .field("cached_plans", &self.plan_cache_len())
+            .field("snapshot_version", &self.snap.version())
+            .field("triples", &self.snap.snapshot().len())
             .finish()
     }
 }
@@ -155,70 +122,33 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_compiled_queries() {
-        let ep = endpoint();
-        assert_eq!(ep.plan_cache_len(), 0);
-        let q = "SELECT ?o { <e:a> <r:p> ?o }";
-        let first = ep.select(q).unwrap();
-        assert_eq!(ep.plan_cache_len(), 1);
-        let second = ep.select(q).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(ep.plan_cache_len(), 1);
-        // ASK plans are cached too, under their own key.
-        ep.ask("ASK { <e:a> <r:p> <e:b> }").unwrap();
-        assert_eq!(ep.plan_cache_len(), 2);
-    }
-
-    #[test]
-    fn plan_cache_is_bounded_lru() {
-        let ep = endpoint();
-        ep.set_plan_cache_capacity(4);
-        for i in 0..20 {
-            let _ = ep.select(&format!("SELECT ?o {{ <e:a> <r:p> ?o }} LIMIT {i}"));
-        }
-        assert_eq!(ep.plan_cache_len(), 4);
-        // Cached and uncached execution agree.
-        let cached = ep.select("SELECT ?o { <e:a> <r:p> ?o } LIMIT 19").unwrap();
-        ep.set_plan_cache_capacity(0);
-        let uncached = ep.select("SELECT ?o { <e:a> <r:p> ?o } LIMIT 19").unwrap();
-        assert_eq!(cached, uncached);
-        assert_eq!(ep.plan_cache_len(), 0);
-    }
-
-    #[test]
-    fn parse_errors_are_not_cached() {
-        let ep = endpoint();
-        let _ = ep.select("NOT SPARQL");
-        assert_eq!(ep.plan_cache_len(), 0);
-    }
-
-    #[test]
-    fn plan_cache_keeps_reused_entries_under_churn() {
-        let ep = endpoint();
-        ep.set_plan_cache_capacity(2);
-        let hot = "SELECT ?o { <e:a> <r:p> ?o }";
-        let oracle = ep.select(hot).unwrap();
-        // A stream of distinct paged shapes would evict a FIFO entry; the
-        // LRU keeps `hot` because we re-touch it between insertions.
-        for i in 0..10 {
-            let _ = ep.select(&format!("SELECT ?o {{ <e:a> <r:p> ?o }} LIMIT {i}"));
-            assert_eq!(ep.select(hot).unwrap(), oracle);
-        }
-        assert_eq!(ep.plan_cache_len(), 2);
-    }
-
-    #[test]
     fn prepared_paged_matches_string_pagination() {
         let ep = endpoint();
         let q = Prepared::new("SELECT ?o WHERE { ?s ?r ?o } ORDER BY ?o", &["s", "r"]).unwrap();
         let args = [Term::iri("e:a"), Term::iri("r:p")];
-        let page = ep
-            .select_prepared_paged(&q, &args, Some(1), Some(1))
-            .unwrap();
+        // The store holds two matches, so 3 is past the end.
+        let bounds = [None, Some(0), Some(1), Some(2), Some(3)];
+        for limit in bounds {
+            for offset in bounds {
+                let page = ep.select_prepared_paged(&q, &args, limit, offset).unwrap();
+                let text = q.render_paged(&args, limit, offset).unwrap();
+                assert_eq!(
+                    page,
+                    ep.select(&text).unwrap(),
+                    "limit {limit:?} offset {offset:?}"
+                );
+                let rest = 2usize.saturating_sub(offset.unwrap_or(0));
+                assert_eq!(page.len(), rest.min(limit.unwrap_or(usize::MAX)));
+            }
+        }
         let oracle = ep
             .select("SELECT ?o WHERE { <e:a> <r:p> ?o } ORDER BY ?o LIMIT 1 OFFSET 1")
             .unwrap();
-        assert_eq!(page, oracle);
+        assert_eq!(
+            ep.select_prepared_paged(&q, &args, Some(1), Some(1))
+                .unwrap(),
+            oracle
+        );
         // No limit/offset override behaves like plain select_prepared.
         let full = ep.select_prepared_paged(&q, &args, None, None).unwrap();
         assert_eq!(full, ep.select_prepared(&q, &args).unwrap());

@@ -1,93 +1,70 @@
 //! The one executor behind the in-process endpoints
-//! ([`crate::LocalEndpoint`], [`crate::ConcurrentEndpoint`],
-//! [`crate::PinnedEndpoint`]): the typed [`Request`] dispatch over one
-//! immutable store, the mapping of the engine's [`QueryOutcome`] into the
-//! typed [`Response`], and the `COUNT(*)` rewrite behind
-//! [`crate::Request::Count`].
+//! ([`crate::LocalEndpoint`] and [`crate::ConcurrentEndpoint`]): the
+//! typed [`Request`] dispatch over one published snapshot, the mapping of
+//! the engine's [`QueryOutcome`] into the typed [`Response`], and the
+//! `COUNT(*)` rewrite behind [`crate::Request::Count`].
+//!
+//! Nothing is cached between calls: every request is parsed (or bound)
+//! and planned against the snapshot it runs on. The aligner's probes
+//! mostly run once — remote ones arrive as text with their constants
+//! inlined, and each sampling step reads a new page — so a plan cache
+//! would mostly churn, and planning a small bound pattern costs less
+//! than keeping plans around.
 
+use crate::concurrent::PublishedSnapshot;
 use crate::endpoint::{count_of_ask_error, Request, Response};
 use crate::error::EndpointError;
-use crate::plan_cache::{cached_plan, prepared_cache_key};
 use sofya_rdf::{Term, TripleStore};
 use sofya_sparql::{
-    compile_ast_with_options, compile_with_options, execute_ast_budgeted,
-    execute_compiled_paged_budgeted, CompiledQuery, PlanOptions, Prepared, Projection, Query,
-    QueryBudget, QueryOutcome, SelectQuery,
+    execute_ast_budgeted, parse_query, PlanOptions, Prepared, Projection, Query, QueryBudget,
+    QueryOutcome, SelectQuery,
 };
-use std::sync::Arc;
 
-/// Executes one typed request against one immutable `store` under
-/// `budget`. The backend supplies its plan cache as a `lookup`/`insert`
-/// closure pair over string keys — an exact LRU for
-/// [`crate::LocalEndpoint`], the sharded snapshot-versioned cache for
-/// the concurrent endpoints — so the dispatch itself exists once.
+/// Executes one typed request against one published snapshot under
+/// `budget`, with the snapshot's statistics driving the planner.
 ///
 /// The budget is threaded into the evaluator's scan loops, so a breached
 /// query unwinds within one poll interval instead of running to
-/// completion; [`QueryBudget::unlimited`] disables every check. Plan
-/// caching is budget-independent, so a killed query leaves its (valid)
-/// cached plan for the next caller.
-pub(crate) fn execute_on_store<L, I>(
-    store: &TripleStore,
-    opts: PlanOptions<'_>,
-    lookup: &L,
-    insert: &I,
+/// completion; [`QueryBudget::unlimited`] disables every check. A batch
+/// recurses with the **same** snapshot, so its sub-requests observe one
+/// consistent state no matter how many publishes land while it runs.
+pub(crate) fn execute_on_store(
+    snap: &PublishedSnapshot,
     req: Request<'_>,
     budget: &QueryBudget,
-) -> Result<Response, EndpointError>
-where
-    L: Fn(&str) -> Option<Arc<CompiledQuery>>,
-    I: Fn(String, Arc<CompiledQuery>),
-{
+) -> Result<Response, EndpointError> {
+    let store = snap.snapshot().store();
+    let opts = snap.plan_options();
+    let run = |query: &Query| -> Result<Response, EndpointError> {
+        Ok(response_of(execute_ast_budgeted(
+            store, query, opts, budget,
+        )?))
+    };
     match req {
-        // String queries go through the string-keyed plan cache.
-        Request::Select { query } | Request::Ask { query } => {
-            let compiled = cached_plan(query, lookup, insert, || {
-                compile_with_options(store, query, opts)
-            })?;
-            Ok(response_of(execute_compiled_paged_budgeted(
-                store, &compiled, None, None, budget,
-            )?))
-        }
-        // Prepared probes bind + plan per call: their args vary per
-        // probe and their plans are trivial, so caching buys nothing.
+        Request::Select { query } | Request::Ask { query } => run(&parse_query(query)?),
         Request::PreparedSelect { prepared, args } | Request::PreparedAsk { prepared, args } => {
-            let bound = prepared.bind(args)?;
-            Ok(response_of(execute_ast_budgeted(
-                store, &bound, opts, budget,
-            )?))
+            run(&prepared.bind(args)?)
         }
-        // Paged shapes are the expensive multi-pattern joins and their
-        // bound plan is page-independent, so it is compiled once per
-        // (template, args) — the key excludes LIMIT/OFFSET — and every
-        // page reuses it with an execution-time override.
+        // The same binding `Request::to_sparql` renders for the wire.
         Request::PreparedSelectPaged {
             prepared,
             args,
             limit,
             offset,
-        } => {
-            let key = prepared_cache_key(prepared, args);
-            let compiled = cached_plan(&key, lookup, insert, || {
-                Ok(compile_ast_with_options(store, &prepared.bind(args)?, opts))
-            })?;
-            Ok(response_of(execute_compiled_paged_budgeted(
-                store, &compiled, limit, offset, budget,
-            )?))
-        }
+        } => run(&prepared.bind_paged(args, limit, offset)?),
         // COUNT(*) over a bound pattern: single-pattern templates
         // resolve off the index bounds without materializing a row.
         Request::Count { prepared, args } => {
             execute_count(store, prepared, args, opts, budget).map(Response::Count)
         }
-        // Sub-requests run against the same store and share the one
+        // Sub-requests run against the same snapshot and share the one
         // budget: the deadline is absolute and the scan counter is
         // per-sub-query, so a batch cannot outlive the deadline even
         // though each member restarts its row count.
         Request::Batch(requests) => Ok(Response::Batch(
             requests
                 .into_iter()
-                .map(|sub| execute_on_store(store, opts, lookup, insert, sub, budget))
+                .map(|sub| execute_on_store(snap, sub, budget))
                 .collect::<Result<_, _>>()?,
         )),
     }

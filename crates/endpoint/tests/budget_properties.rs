@@ -6,10 +6,9 @@
 //! * the budgeted run either returns **exactly** the unbudgeted result
 //!   or fails with the typed `BudgetExceeded`/`DeadlineExceeded` class —
 //!   never a silently truncated row set;
-//! * after a kill, the same endpoint (same snapshot, same shared plan
-//!   cache that the failed run may have populated) answers the next
-//!   unbudgeted run of the query identically to a fresh endpoint — a
-//!   kill cannot poison cached plans or published snapshots.
+//! * after a kill, the same endpoint (same snapshot the failed run read)
+//!   answers the next unbudgeted run of the query identically to a fresh
+//!   endpoint — a kill cannot poison a published snapshot.
 
 use proptest::prelude::*;
 use sofya_endpoint::{
@@ -91,8 +90,8 @@ proptest! {
         }
 
         // The kill (if any) left nothing behind: the same endpoint —
-        // same snapshot, same plan cache the failed run warmed — gives
-        // the full answer on the next, unbudgeted query.
+        // same snapshot the failed run read — gives the full answer on
+        // the next, unbudgeted query.
         let after = budgeted.inner().select(&query).expect("endpoint survives the kill");
         prop_assert_eq!(&after, &expected);
 

@@ -227,11 +227,9 @@ proptest! {
         perm in 0usize..24,
         specs in proptest::collection::vec(spec(), 1..24),
     ) {
-        let shared = Arc::new(store());
-        let bare = LocalEndpoint::from_arc("kb", Arc::clone(&shared));
+        let bare = LocalEndpoint::new("kb", store());
         let order = permutation(perm);
-        let (stacked, counters) =
-            build_stack(LocalEndpoint::from_arc("kb", Arc::clone(&shared)), &order);
+        let (stacked, counters) = build_stack(bare.clone(), &order);
 
         let mut issued_leaves = 0u64;
         for spec in &specs {

@@ -113,9 +113,6 @@ pub struct ServiceMetrics {
     /// Queued jobs dropped unexecuted because their deadline had already
     /// passed at dequeue time (no worker time wasted on them).
     queries_shed: AtomicU64,
-    /// Upstream circuit-breaker state gauge (0 closed / 1 open / 2
-    /// half-open); 0 when no breaker reports in.
-    breaker_state: AtomicU64,
     /// Epoch of the most recent snapshot publish — staleness expressible
     /// in epochs, alongside the wall-clock `snapshot_age_ns`.
     last_publish_epoch: AtomicU64,
@@ -192,11 +189,6 @@ impl ServiceMetrics {
         self.queries_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the upstream breaker-state gauge (last write wins).
-    pub fn record_breaker_state(&self, state: u64) {
-        self.breaker_state.store(state, Ordering::Relaxed);
-    }
-
     /// Records the epoch of the newest published snapshot (a gauge).
     pub fn record_last_publish_epoch(&self, epoch: u64) {
         self.last_publish_epoch.store(epoch, Ordering::Relaxed);
@@ -236,7 +228,6 @@ impl ServiceMetrics {
             queries_timed_out: self.queries_timed_out.load(Ordering::Relaxed),
             queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
-            breaker_state: self.breaker_state.load(Ordering::Relaxed),
             last_publish_epoch: self.last_publish_epoch.load(Ordering::Relaxed),
             dirty_relations: self.dirty_relations.load(Ordering::Relaxed),
             alignment_staleness_epochs: self.alignment_staleness_epochs.load(Ordering::Relaxed),
@@ -280,8 +271,6 @@ pub struct MetricsReport {
     pub queries_cancelled: u64,
     /// Queued jobs shed unexecuted because their deadline had passed.
     pub queries_shed: u64,
-    /// Upstream circuit-breaker state (0 closed / 1 open / 2 half-open).
-    pub breaker_state: u64,
     /// Epoch of the most recent snapshot publish (0 when unreported).
     pub last_publish_epoch: u64,
     /// Cached relation alignments currently dirty (streaming path).
@@ -344,7 +333,6 @@ mod tests {
         m.on_query_timed_out();
         m.on_query_cancelled();
         m.on_query_shed();
-        m.record_breaker_state(2);
         m.record_last_publish_epoch(11);
         m.record_dirty_relations(4);
         m.record_alignment_staleness_epochs(2);
@@ -355,7 +343,6 @@ mod tests {
         assert_eq!(r.queries_timed_out, 1);
         assert_eq!(r.queries_cancelled, 1);
         assert_eq!(r.queries_shed, 1);
-        assert_eq!(r.breaker_state, 2);
         assert_eq!(r.submitted, 2);
         assert_eq!(r.completed, 1);
         assert_eq!(r.rejected_full, 1);

@@ -63,7 +63,13 @@ impl std::fmt::Display for BudgetBreach {
 /// A shared flag that aborts every query polling it. One token can be
 /// attached to many budgets (a server trips one token to cancel all
 /// in-flight work when its drain deadline passes).
+///
+/// Every scan loop holding the token polls it, from every worker thread,
+/// so it gets a pair of cache lines to itself: a neighbouring allocation
+/// that another thread writes (a server's metrics cell, say) would
+/// otherwise invalidate the line each poll reads.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct CancelToken {
     cancelled: AtomicBool,
 }

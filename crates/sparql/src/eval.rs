@@ -52,12 +52,10 @@ pub fn execute_ast_budgeted(
     match query {
         Query::Select(select) => {
             let plan = GroupPlan::build_with(store, &select.pattern, &[], opts);
-            Ok(QueryOutcome::Solutions(execute_select_planned_paged(
+            Ok(QueryOutcome::Solutions(execute_select_planned(
                 store,
                 select,
                 &plan,
-                None,
-                None,
                 &mut tracker,
             )?))
         }
@@ -66,104 +64,6 @@ pub fn execute_ast_budgeted(
             Ok(QueryOutcome::Boolean(execute_ask_planned(
                 store,
                 &plan,
-                &mut tracker,
-            )?))
-        }
-    }
-}
-
-/// A query compiled against one concrete (immutable) store: parsed once,
-/// planned once. Re-executing skips both stages — the backing for
-/// endpoint-level plan caches.
-///
-/// The embedded plan holds dictionary ids of *that* store; executing it
-/// against a store whose dictionary differs yields garbage, so keep one
-/// cache per store (the `LocalEndpoint` wrapper does).
-#[derive(Debug, Clone)]
-pub struct CompiledQuery {
-    inner: CompiledInner,
-}
-
-#[derive(Debug, Clone)]
-enum CompiledInner {
-    Select {
-        query: Box<SelectQuery>,
-        plan: GroupPlan,
-    },
-    Ask {
-        plan: GroupPlan,
-    },
-}
-
-/// Parses and plans `query` against `store` for repeated execution via
-/// [`execute_compiled_paged_budgeted`].
-pub fn compile_with_options(
-    store: &TripleStore,
-    query: &str,
-    opts: PlanOptions<'_>,
-) -> Result<CompiledQuery, SparqlError> {
-    let inner = match parse_query(query)? {
-        Query::Select(select) => CompiledInner::Select {
-            plan: GroupPlan::build_with(store, &select.pattern, &[], opts),
-            query: Box::new(select),
-        },
-        Query::Ask(pattern) => CompiledInner::Ask {
-            plan: GroupPlan::build_with(store, &pattern, &[], opts),
-        },
-    };
-    Ok(CompiledQuery { inner })
-}
-
-/// Plans an already-parsed (e.g. prepared-and-bound) query for repeated
-/// execution. This is the backing for endpoint-level *prepared* plan
-/// caches: the join order of a bound template does not depend on
-/// `LIMIT`/`OFFSET`, so one compilation serves every page via
-/// [`execute_compiled_paged_budgeted`].
-pub fn compile_ast_with_options(
-    store: &TripleStore,
-    query: &Query,
-    opts: PlanOptions<'_>,
-) -> CompiledQuery {
-    let inner = match query {
-        Query::Select(select) => CompiledInner::Select {
-            plan: GroupPlan::build_with(store, &select.pattern, &[], opts),
-            query: Box::new(select.clone()),
-        },
-        Query::Ask(pattern) => CompiledInner::Ask {
-            plan: GroupPlan::build_with(store, pattern, &[], opts),
-        },
-    };
-    CompiledQuery { inner }
-}
-
-/// Executes a compiled query against the store it was compiled for,
-/// under a [`QueryBudget`] (see [`execute_ast_budgeted`]), with a
-/// structural `LIMIT`/`OFFSET` override (`None` keeps the compiled
-/// query's own modifier). The pagination of a solution sequence never
-/// changes the plan, so cached compilations are shared across all pages
-/// of a shape; [`QueryBudget::unlimited`] runs it to completion.
-pub fn execute_compiled_paged_budgeted(
-    store: &TripleStore,
-    compiled: &CompiledQuery,
-    limit: Option<usize>,
-    offset: Option<usize>,
-    budget: &QueryBudget,
-) -> Result<QueryOutcome, SparqlError> {
-    let mut tracker = BudgetTracker::new(budget);
-    tracker.preflight()?;
-    match &compiled.inner {
-        CompiledInner::Select { query, plan } => Ok(QueryOutcome::Solutions(
-            execute_select_planned_paged(store, query, plan, limit, offset, &mut tracker)?,
-        )),
-        CompiledInner::Ask { plan } => {
-            if limit.is_some() || offset.is_some() {
-                return Err(SparqlError::eval(
-                    "LIMIT/OFFSET cannot be applied to an ASK query",
-                ));
-            }
-            Ok(QueryOutcome::Boolean(execute_ask_planned(
-                store,
-                plan,
                 &mut tracker,
             )?))
         }
@@ -258,18 +158,15 @@ fn aggregate_row(
     ResultSet::new(vec![alias.to_owned()], rows)
 }
 
-/// Executes a planned `SELECT` with optional `LIMIT`/`OFFSET` overrides
-/// (`None` falls back to the query's own modifiers).
-fn execute_select_planned_paged(
+/// Executes a planned `SELECT`, applying the query's own solution
+/// modifiers.
+fn execute_select_planned(
     store: &TripleStore,
     query: &SelectQuery,
     plan: &GroupPlan,
-    limit_override: Option<usize>,
-    offset_override: Option<usize>,
     t: &mut BudgetTracker<'_>,
 ) -> Result<ResultSet, SparqlError> {
-    let limit = limit_override.or(query.limit);
-    let offset = offset_override.or(query.offset);
+    let (limit, offset) = (query.limit, query.offset);
     // COUNT over a bare pattern short-circuits through the index bounds:
     // no join, no binding materialisation.
     if let Projection::Count {

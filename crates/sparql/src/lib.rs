@@ -54,8 +54,7 @@ pub use ast::{Expr, NodePattern, Projection, Query, SelectQuery, TriplePatternAs
 pub use budget::{BudgetBreach, CancelToken, QueryBudget};
 pub use error::SparqlError;
 pub use eval::{
-    compile_ast_with_options, compile_with_options, execute, execute_ask, execute_ast_budgeted,
-    execute_ast_with_options, execute_compiled_paged_budgeted, execute_with_options, CompiledQuery,
+    execute, execute_ask, execute_ast_budgeted, execute_ast_with_options, execute_with_options,
     QueryOutcome,
 };
 pub use parser::parse_query;
@@ -64,16 +63,16 @@ pub use prepared::Prepared;
 pub use solution::ResultSet;
 pub use unparse::unparse;
 
-// Concurrency audit: the service layer shares prepared templates and
-// compiled plans across worker threads (`Arc<CompiledQuery>` in sharded
-// plan caches, `&'static Prepared` in the endpoint helpers). Keep the
-// auto-derived `Send + Sync` bounds pinned so a future interior-mutability
-// field fails to compile here instead of deep inside the scheduler.
+// Concurrency audit: the service layer shares prepared templates across
+// worker threads (`&'static Prepared` in the endpoint helpers, `Arc`'d
+// templates in decoded wire requests) and hands results between them.
+// Keep the auto-derived `Send + Sync` bounds pinned so a future
+// interior-mutability field fails to compile here instead of deep inside
+// the scheduler.
 #[allow(dead_code)]
 fn _assert_send_sync() {
     fn check<T: Send + Sync>() {}
     check::<Prepared>();
-    check::<CompiledQuery>();
     check::<Query>();
     check::<ResultSet>();
     check::<QueryOutcome>();

@@ -40,10 +40,6 @@ use sofya_rdf::Term;
 pub struct Prepared {
     query: Query,
     params: Vec<String>,
-    /// Process-unique template identity (shared by clones), so endpoint
-    /// plan caches can key compiled bound plans by `(template, args)`
-    /// without serialising the query.
-    token: u64,
 }
 
 impl Prepared {
@@ -93,24 +89,12 @@ impl Prepared {
                 }
             }
         }
-        static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        Ok(Self {
-            query,
-            params,
-            token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        })
+        Ok(Self { query, params })
     }
 
     /// Number of declared parameters.
     pub fn param_count(&self) -> usize {
         self.params.len()
-    }
-
-    /// A process-unique identity for this template (clones share it).
-    /// Endpoint plan caches combine it with the rendered arguments to key
-    /// compiled bound plans.
-    pub fn cache_token(&self) -> u64 {
-        self.token
     }
 
     /// Binds `args` (one term per parameter, in declaration order) into a
@@ -146,7 +130,9 @@ impl Prepared {
     /// structurally — the paged-query fast path. The aligner's paging
     /// shapes vary `LIMIT`/`OFFSET` on every call, so threading them
     /// through the AST (instead of formatting a fresh query string per
-    /// page) keeps pagination on the zero-parse path.
+    /// page) keeps pagination on the zero-parse path. In-process endpoints
+    /// execute this AST; [`Prepared::render_paged`] serialises the same
+    /// AST for endpoints that speak text, so both see one binding.
     ///
     /// `None` leaves the template's own modifier untouched. Errors on
     /// `ASK` templates, which have no solution sequence to page.
